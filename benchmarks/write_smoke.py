@@ -1,5 +1,5 @@
 """Write-path smoke harness: a mixed 80/20 read-write workload with
-correctness gates (the EXPERIMENTS.md E20 numbers).
+correctness and plan-cache gates (the EXPERIMENTS.md E20/E22 numbers).
 
 Drives the embedded PEP 249 driver on both writable backends with a
 seeded stream of statements — 80% reads, 20% DML, with periodic
@@ -7,12 +7,18 @@ explicit transactions that roll back — and asserts, per backend:
 
 * every rollback restores the pre-transaction reads, and on the
   memory backend restores every table's version token *exactly*;
-* the plan-cache epoch moves on every visible write (``note_write``),
-  so token-guarded plans re-validate instead of serving stale rows;
-* final row counts match an independently-maintained oracle.
+* final row counts match an independently-maintained oracle;
+* writes do not cost the reads their cached plans: the mix's reads hit
+  the plan cache at least ``MIN_HIT_RATE`` of the time, and their mean
+  latency stays within ``MAX_READ_SLOWDOWN`` of a read-only pass over
+  the same statements. That pass replays each mix read right after it,
+  on the same data with no write in between, so the ratio isolates
+  what the writes cost the reads (the table grows over the run, which
+  a separate pass over the initial data would mistake for write cost).
 
-Reports read/write throughput per backend. Exit status is non-zero on
-any correctness failure — this is the CI leg for the write path.
+Reports read/write throughput, the plan-cache hit rate and the read
+latency against the read-only pass per backend. Exit status is non-zero
+on any failed gate — this is the CI leg for the write path.
 
 Usage::
 
@@ -34,6 +40,24 @@ from repro.driver import connect  # noqa: E402
 from repro.workloads import build_runtime  # noqa: E402
 
 REGIONS = ("APAC", "EMEA", "AMER", "LATAM")
+READ = "SELECT COUNT(*), MAX(CUSTOMERID) FROM CUSTOMERS WHERE REGION = ?"
+
+#: Plan-cache hits per mix read, at least.
+MIN_HIT_RATE = 0.90
+#: Mix reads' mean latency over the read-only pass's, at most.
+MAX_READ_SLOWDOWN = 1.5
+
+
+def plan_lookups(runtime) -> tuple[int, int]:
+    stats = runtime.plan_cache.stats()
+    return stats["hits"], stats["misses"]
+
+
+def timed_read(cur, region: str) -> float:
+    started = time.perf_counter()
+    cur.execute(READ, [region])
+    cur.fetchall()
+    return time.perf_counter() - started
 
 
 def run_backend(backend: str, statements: int, seed: int) -> dict:
@@ -48,19 +72,24 @@ def run_backend(backend: str, statements: int, seed: int) -> dict:
 
     cur.execute("SELECT COUNT(*) FROM CUSTOMERS")
     live = cur.fetchall()[0][0]  # the oracle: expected CUSTOMERS rows
+    # Compile the mix read up front: its cold compile is no write's
+    # doing, and the read-only replays below never pay it.
+    cur.execute(READ, [REGIONS[0]])
+    cur.fetchall()
     next_id = 10_000
     reads = writes = rollbacks = 0
-    read_seconds = write_seconds = 0.0
-    epoch_failures = 0
+    read_seconds = read_only_seconds = write_seconds = 0.0
+    hits = misses = 0
 
     for step in range(statements):
         if rng.random() < 0.8:
-            started = time.perf_counter()
-            cur.execute(
-                "SELECT COUNT(*), MAX(CUSTOMERID) FROM CUSTOMERS "
-                "WHERE REGION = ?", [rng.choice(REGIONS)])
-            cur.fetchall()
-            read_seconds += time.perf_counter() - started
+            region = rng.choice(REGIONS)
+            hits_before, misses_before = plan_lookups(runtime)
+            read_seconds += timed_read(cur, region)
+            hits_after, misses_after = plan_lookups(runtime)
+            hits += hits_after - hits_before
+            misses += misses_after - misses_before
+            read_only_seconds += timed_read(cur, region)
             reads += 1
             continue
         if rng.random() < 0.2:
@@ -85,7 +114,6 @@ def run_backend(backend: str, statements: int, seed: int) -> dict:
                     f"FAIL[{backend}]: rollback did not restore "
                     f"version tokens at step {step}")
             continue
-        epoch_before = runtime._stats_epoch
         started = time.perf_counter()
         roll = rng.random()
         if roll < 0.6 or live < 5:
@@ -110,10 +138,6 @@ def run_backend(backend: str, statements: int, seed: int) -> dict:
             live -= cur.rowcount
         write_seconds += time.perf_counter() - started
         writes += 1
-        # The plan-cache epoch must move on every visible write, or
-        # cached plans could keep cost decisions made on dead stats.
-        if runtime._stats_epoch == epoch_before:
-            epoch_failures += 1
 
     cur.execute("SELECT COUNT(*) FROM CUSTOMERS")
     final = cur.fetchall()[0][0]
@@ -121,14 +145,25 @@ def run_backend(backend: str, statements: int, seed: int) -> dict:
     if final != live:
         raise SystemExit(
             f"FAIL[{backend}]: final count {final} != oracle {live}")
-    if epoch_failures:
+    hit_rate = hits / (hits + misses)
+    if hit_rate < MIN_HIT_RATE:
         raise SystemExit(
-            f"FAIL[{backend}]: {epoch_failures} writes did not move "
-            f"the plan-cache epoch")
+            f"FAIL[{backend}]: plan-cache hit rate {hit_rate:.1%} over "
+            f"{hits + misses} mix reads is below {MIN_HIT_RATE:.0%}")
+    read_mean = read_seconds / reads
+    read_only_mean = read_only_seconds / reads
+    slowdown = read_mean / read_only_mean
+    if slowdown > MAX_READ_SLOWDOWN:
+        raise SystemExit(
+            f"FAIL[{backend}]: mix reads average {read_mean * 1e3:.3f} ms, "
+            f"{slowdown:.2f}x the read-only pass's "
+            f"{read_only_mean * 1e3:.3f} ms (bound {MAX_READ_SLOWDOWN}x)")
     return {
         "reads": reads, "writes": writes, "rollbacks": rollbacks,
         "read_qps": reads / read_seconds if read_seconds else 0.0,
         "write_qps": writes / write_seconds if write_seconds else 0.0,
+        "hit_rate": hit_rate, "read_ms": read_mean * 1e3,
+        "read_only_ms": read_only_mean * 1e3, "slowdown": slowdown,
     }
 
 
@@ -144,8 +179,11 @@ def main() -> None:
               f"({report['read_qps']:.0f}/s), "
               f"{report['writes']} writes "
               f"({report['write_qps']:.0f}/s), "
-              f"{report['rollbacks']} rollbacks — "
-              f"tokens + epoch + oracle OK")
+              f"{report['rollbacks']} rollbacks; plan-cache hits "
+              f"{report['hit_rate']:.1%}, reads {report['read_ms']:.3f} ms "
+              f"vs read-only {report['read_only_ms']:.3f} ms "
+              f"({report['slowdown']:.2f}x) — tokens + oracle + plan "
+              f"cache OK")
     print("PASS")
 
 

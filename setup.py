@@ -1,10 +1,12 @@
-"""Legacy setup shim so `pip install -e .` works offline (no wheel pkg)."""
+"""Legacy setup shim so `pip install -e .` works offline (no wheel pkg).
+
+The version comes from pyproject.toml, which reads ``repro.__version__``.
+"""
 
 from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="1.0.0",
     description=(
         "Reproduction of 'SQL to XQuery Translation in the AquaLogic Data "
         "Services Platform' (ICDE 2006)"

@@ -76,6 +76,33 @@ def _resolve_batch_size(configured: int) -> int:
     return _env_int("REPRO_BATCH_SIZE", configured)
 
 
+#: A cached plan is re-planned once a basis table's row count, or the
+#: NDV of one of its columns, has moved by this factor or more in either
+#: direction from the statistics the plan was costed with (0 counts as
+#: 1). Smaller moves leave cost decisions close enough that recompiling
+#: (milliseconds) would cost more than the plan could lose.
+STATS_DRIFT_FACTOR = 2
+
+
+def _drifted(before: int, after: int) -> bool:
+    low, high = sorted((max(before, 1), max(after, 1)))
+    return high >= low * STATS_DRIFT_FACTOR
+
+
+def stats_drifted(basis, current) -> bool:
+    """True when *current* statistics have moved materially from the
+    *basis* a plan was costed with (see :data:`STATS_DRIFT_FACTOR`)."""
+    if current is None:
+        return True
+    if _drifted(basis.row_count, current.row_count):
+        return True
+    for name, column in basis.columns.items():
+        now = current.columns.get(name)
+        if now is None or _drifted(column.ndv, now.ndv):
+            return True
+    return False
+
+
 class DSPRuntime:
     """Hosts one application over its physical sources.
 
@@ -156,10 +183,10 @@ class DSPRuntime:
         #: concurrent executions of the same XQuery parse and compile it
         #: once. Keyed like the driver's statement cache, by query text
         #: (plus the optimize/pushdown flags, so toggling either never
-        #: reuses a plan built under the other setting).
-        self.plan_cache = LRUCache(config.plan_cache_capacity,
-                                   registry=self.metrics,
-                                   prefix="plan_cache")
+        #: reuses a plan built under the other setting). Each hit
+        #: re-checks the plan's statistics basis; a drifted plan is
+        #: recompiled and counted under ``plan_cache.replans``.
+        self.plan_cache = self._new_plan_cache()
         #: Materialized element trees for source-bound physical
         #: functions, keyed by function identity and guarded by the
         #: source's ``version`` staleness token (row count for in-memory
@@ -193,12 +220,9 @@ class DSPRuntime:
         self._init_counters()
         #: Table statistics cache for cost-based planning, keyed by
         #: function identity and guarded by the source's ``version``
-        #: token. ``_stats_epoch`` counts cache (re)computations and
-        #: source registrations; it is part of the plan-cache key, so a
-        #: plan built over stale statistics is recompiled (once) rather
-        #: than reused forever.
+        #: token. Cached plans hold references to these objects as their
+        #: statistics basis (see :meth:`prepare`).
         self._stats_cache: dict[tuple[str, str], tuple[object, object]] = {}
-        self._stats_epoch = 0
         #: Single-writer lock for the DML path: held by an autocommit
         #: statement for its plan+apply window, or by an explicit
         #: transaction from its first write until commit/rollback.
@@ -209,6 +233,11 @@ class DSPRuntime:
             uri = function_namespace(project, service)
             for function in service.functions.values():
                 self._functions[(uri, function.name)] = function
+
+    def _new_plan_cache(self) -> LRUCache:
+        return LRUCache(self.config.plan_cache_capacity,
+                        registry=self.metrics, prefix="plan_cache",
+                        stale_label="replans")
 
     def _init_counters(self) -> None:
         """Bind the runtime's named counters/histograms against the
@@ -256,7 +285,7 @@ class DSPRuntime:
         # New (or replaced) source: cached statistics may describe the
         # old one, and cached plans may have been costed without it.
         self._stats_cache.clear()
-        self._stats_epoch += 1
+        self.plan_cache.clear()
         return source
 
     def source(self, name: str) -> DataSource:
@@ -308,9 +337,7 @@ class DSPRuntime:
         self.write_lock = threading.Lock()
         self.metrics = MetricsRegistry()
         self._init_counters()
-        self.plan_cache = LRUCache(self.config.plan_cache_capacity,
-                                   registry=self.metrics,
-                                   prefix="plan_cache")
+        self.plan_cache = self._new_plan_cache()
         self.admission = AdmissionController(
             max_concurrent=self.config.max_concurrent_queries,
             queue_timeout=self.config.admission_queue_timeout,
@@ -642,6 +669,8 @@ class DSPRuntime:
         columns = schema.columns
         name = QName(schema.element_name, schema.target_namespace,
                      prefix="ns0")
+        # QNames are immutable: build one per column, not one per cell.
+        children = [(QName(decl.name), decl.xs_type) for decl in columns]
         result = []
         for row in rows:
             if len(row) != len(columns):
@@ -650,9 +679,8 @@ class DSPRuntime:
                     f"{schema.element_name} declares {len(columns)} "
                     f"columns")
             element = Element(name)
-            for decl, value in zip(columns, row):
-                child = Element(QName(decl.name),
-                                type_annotation=decl.xs_type)
+            for (child_name, xs_type), value in zip(children, row):
+                child = Element(child_name, type_annotation=xs_type)
                 if value is not None:
                     child.append(Text(serialize_atomic(value)))
                 element.append(child)
@@ -740,26 +768,16 @@ class DSPRuntime:
                 f"{table!r}")
         return source, table
 
-    def note_write(self) -> None:
-        """A write was committed (or an autocommit statement applied):
-        cached statistics may describe superseded rows, so drop them
-        and bump the stats epoch — the plan cache keys on the epoch, so
-        plans costed under the old numbers recompile once instead of
-        being reused forever. Row-level read correctness never depends
-        on this hook: element-tree/column caches are guarded by the
-        sources' own version tokens."""
-        self._stats_cache.clear()
-        self._stats_epoch += 1
-
     # -- statistics ----------------------------------------------------------
 
     def statistics_for(self, uri: str, local: str):
         """Table statistics for the data-service scan ``{uri}local()``,
         or None when the function is not a source-backed scan (or its
         source declines). This is the cost planner's statistics
-        callback; results are cached under the source's ``version``
-        token, and every (re)computation bumps the stats epoch so plans
-        costed against superseded statistics age out of the plan cache.
+        callback, and :meth:`prepare` calls it again on every plan-cache
+        hit to re-check the plan's basis; results are cached under the
+        source's ``version`` token, so that re-check is one token read
+        until the data moves.
         """
         function = self._functions.get((uri, local))
         if function is None:
@@ -786,15 +804,17 @@ class DSPRuntime:
             # Statistics are advisory: an unreachable or failing source
             # must degrade to default selectivities, not break compiles.
             return None
-        # Bump the epoch only when the data actually moved (the version
-        # token changed under cached statistics): a first computation
-        # is consumed by the very compile that triggered it, so the
-        # plan about to be cached is already fresh.
-        changed = cached is not None and cached[0] != token
         self._stats_cache[(uri, local)] = (token, stats)
-        if changed:
-            self._stats_epoch += 1
         return stats
+
+    def _basis_current(self, plan: CompiledQuery) -> bool:
+        """True while every table *plan* was costed with still has
+        statistics within :data:`STATS_DRIFT_FACTOR` of its basis."""
+        for (uri, local), basis in plan.stats_basis:
+            current = self.statistics_for(uri, local)
+            if current is not basis and stats_drifted(basis, current):
+                return False
+        return True
 
     # -- query execution -----------------------------------------------------
 
@@ -809,14 +829,23 @@ class DSPRuntime:
         tracer = NULL_TRACER if tracer is None else tracer
 
         def load() -> CompiledQuery:
+            basis: dict = {}
+
+            def statistics(uri: str, local: str):
+                stats = self.statistics_for(uri, local)
+                if stats is not None:
+                    basis[(uri, local)] = stats
+                return stats
+
             with tracer.span("xquery.parse"):
                 module = parse_xquery(xquery_text)
             with tracer.span("xquery.compile"):
                 plan = compile_module(
                     module, resolver=self.call_function,
                     optimize=self.optimize, pushdown=self.pushdown,
-                    statistics=self.statistics_for if self.cost else None,
+                    statistics=statistics if self.cost else None,
                     batch_size=self.batch_size, columnar=self)
+            plan.stats_basis = tuple(basis.items())
             if plan.vector_plan is not None:
                 # The scatter executor re-prepares the plan by text in
                 # each worker; stamp the text so it can be shipped.
@@ -826,13 +855,13 @@ class DSPRuntime:
                 self._estimated_rows.add(int(round(estimate)))
             return plan
 
-        # The stats epoch keys the entry: when a source's data moves
-        # (version token change) or a source is (re)registered, the
-        # epoch bumps and every plan costed under the old statistics
-        # misses, forcing one recompile against fresh numbers.
+        # Writes do not key the entry: a hit re-checks the statistics
+        # the plan was costed with and re-plans only when one of its
+        # own tables has drifted. Row correctness never rides on this —
+        # the element/column caches are guarded by version tokens.
         return self.plan_cache.get_or_load(
             (xquery_text, self.optimize, self.pushdown, self.cost,
-             self.batch_size, self._stats_epoch), load)
+             self.batch_size), load, valid=self._basis_current)
 
     def execute(self, xquery_text: str,
                 variables: dict[str, object] | None = None,

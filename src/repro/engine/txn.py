@@ -99,8 +99,6 @@ class TransactionManager:
         finally:
             self._active = False
             self._release_lock()
-        if enlisted:
-            self._runtime.note_write()
         self.committed += 1
 
     def rollback(self) -> None:
@@ -115,11 +113,6 @@ class TransactionManager:
         finally:
             self._active = False
             self._release_lock()
-        if enlisted:
-            # Memory sources restore their version tokens exactly;
-            # SQLite's token moves forward — either way cached plans
-            # and statistics must be re-checked against the tokens.
-            self._runtime.note_write()
         self.rolled_back += 1
 
     # -- statement execution -----------------------------------------------
@@ -145,7 +138,6 @@ class TransactionManager:
         self.autocommits += 1
         self.statements += 1
         self.rows_written += result.rowcount
-        self._runtime.note_write()
         return result
 
     def run_batch(self, plan_factories) -> list[MutationResult]:

@@ -16,10 +16,16 @@ cache). Design points:
   caller loads while the rest wait on an event and then reuse the
   loaded value. That is what makes "one metadata fetch per distinct
   table" hold under concurrency (tests/obs/test_thread_safety.py).
+* **Revalidating** — ``get_or_load(key, loader, valid=...)`` checks a
+  cached value before serving it. A value the predicate rejects is a
+  *stale hit*: it is dropped and reloaded through the same single-flight
+  path, and the lookup counts as a miss.
 
 Stats (hits/misses/evictions) are always kept locally; pass a
 ``MetricsRegistry`` and a ``prefix`` to additionally publish them as
 ``{prefix}.hits`` / ``{prefix}.misses`` / ``{prefix}.evictions``.
+With a ``stale_label``, stale hits are also counted apart under that
+name (a ``stats()`` key and a ``{prefix}.{stale_label}`` counter).
 """
 
 from __future__ import annotations
@@ -50,7 +56,8 @@ class LRUCache:
 
     def __init__(self, capacity: int,
                  registry: Optional[MetricsRegistry] = None,
-                 prefix: str = "cache"):
+                 prefix: str = "cache",
+                 stale_label: Optional[str] = None):
         if capacity < 0:
             raise ValueError(f"cache capacity must be >= 0, got {capacity}")
         self._capacity = capacity
@@ -60,7 +67,13 @@ class LRUCache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
+        self._stale = 0
+        self._stale_label = stale_label
+        self._stale_counter = None
         if registry is not None:
+            if stale_label is not None:
+                self._stale_counter = registry.counter(
+                    f"{prefix}.{stale_label}")
             self._hit_counter = registry.counter(f"{prefix}.hits")
             self._miss_counter = registry.counter(f"{prefix}.misses")
             self._eviction_counter = registry.counter(f"{prefix}.evictions")
@@ -80,6 +93,11 @@ class LRUCache:
         self._misses += 1
         if self._miss_counter is not None:
             self._miss_counter.increment()
+
+    def _record_stale_locked(self) -> None:
+        self._stale += 1
+        if self._stale_counter is not None:
+            self._stale_counter.increment()
 
     def _store_locked(self, key: Hashable, value) -> None:
         if self._capacity == 0:
@@ -111,9 +129,15 @@ class LRUCache:
         with self._lock:
             self._store_locked(key, value)
 
-    def get_or_load(self, key: Hashable, loader: Callable[[], object]):
+    def get_or_load(self, key: Hashable, loader: Callable[[], object],
+                    valid: Optional[Callable[[object], bool]] = None):
         """Return the cached value for *key*, loading it (once, even
-        under concurrency) on a miss."""
+        under concurrency) on a miss.
+
+        *valid*, when given, is asked (outside the lock) whether a
+        cached value may still be served; a rejected value is dropped
+        and reloaded as a miss. A value just loaded, or handed over by
+        a concurrent loader, is served without asking."""
         if self._capacity == 0:
             with self._lock:
                 self._record_miss_locked()
@@ -121,16 +145,31 @@ class LRUCache:
         while True:
             with self._lock:
                 value = self._data.get(key, _MISSING)
-                if value is not _MISSING:
+                if value is _MISSING:
+                    flight = self._inflight.get(key)
+                    owner = flight is None
+                    if owner:
+                        flight = self._inflight[key] = _Flight()
+                elif valid is None:
                     self._data.move_to_end(key)
                     self._record_hit_locked()
                     return value
-                flight = self._inflight.get(key)
-                if flight is None:
-                    flight = self._inflight[key] = _Flight()
-                    owner = True
-                else:
-                    owner = False
+            if value is not _MISSING:
+                if valid(value):
+                    with self._lock:
+                        if self._data.get(key, _MISSING) is value:
+                            self._data.move_to_end(key)
+                        self._record_hit_locked()
+                    return value
+                with self._lock:
+                    # Only the caller that drops the stale entry counts
+                    # it; concurrent callers that saw it too find the
+                    # key missing on the next pass and load (or wait on
+                    # the reload) like any other miss.
+                    if self._data.get(key, _MISSING) is value:
+                        del self._data[key]
+                        self._record_stale_locked()
+                continue
             if not owner:
                 # Another thread is loading this key: wait, then reuse
                 # its value (a hit — this call fetched nothing).
@@ -211,4 +250,6 @@ class LRUCache:
                 "evictions": self._evictions,
                 "size": len(self._data),
                 "capacity": self._capacity,
+                **({self._stale_label: self._stale}
+                   if self._stale_label is not None else {}),
             }

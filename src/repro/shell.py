@@ -314,8 +314,10 @@ class Shell:
                 f"max={summary['max'] * 1000:.3f}ms")
         for cache in ("statement_cache", "metadata_cache", "plan_cache"):
             stats = snapshot[cache]
+            replans = (f" replans={stats['replans']}"
+                       if "replans" in stats else "")
             self._out(f"{cache.upper()}: hits={stats['hits']} "
-                      f"misses={stats['misses']} "
+                      f"misses={stats['misses']}{replans} "
                       f"evictions={stats['evictions']} "
                       f"size={stats['size']}/{stats['capacity']}")
         admission = snapshot["admission"]

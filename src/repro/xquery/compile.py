@@ -117,11 +117,12 @@ class CompiledQuery:
 
     One instance is safe to share across threads and evaluations: all
     mutable state lives in the per-call frames. The DSP runtime caches
-    these in a bounded LRU keyed by (query text, optimize flag).
+    these in a bounded LRU keyed by query text and planner settings.
     """
 
     __slots__ = ("module", "compile_seconds", "plan_reports", "batched",
-                 "vector_plan", "_run", "_stream", "_chunks")
+                 "vector_plan", "stats_basis", "_run", "_stream",
+                 "_chunks")
 
     def __init__(self, module: ast.Module, run: _Thunk,
                  stream: Callable[[_Frame], Iterable],
@@ -144,6 +145,10 @@ class CompiledQuery:
         #: ``batched`` — the scatter/gather executor reads its shape
         #: and partition entry points. None on the tuple path.
         self.vector_plan = vector_plan
+        #: ``((uri, local), TableStatistics)`` pairs the cost planner
+        #: read while compiling — shared references, not copies. The
+        #: DSP runtime sets it and re-checks it on plan-cache hits.
+        self.stats_basis: tuple = ()
         self._run = run
         self._stream = stream
         self._chunks = chunks

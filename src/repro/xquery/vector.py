@@ -937,10 +937,11 @@ _MIN_BATCH_ROWS_JOIN = 4
 #: Grouped plans whose NDV estimate predicts fewer distinct groups than
 #: this stay on the tuple path: a one-or-two-group hash table amortizes
 #: nothing and the tuple GroupClause is already a single dict pass.
-#: Cache-safety: like the row floors, this decision reads only NDV
-#: statistics — the plan cache key already includes the runtime's
-#: ``_stats_epoch`` (and ``batch_size``), so a stats change re-plans
-#: rather than serving a stale executor choice.
+#: Cache-safety: like the row floors, this decision reads only
+#: statistics the plan records as its basis — a plan-cache hit re-checks
+#: them and re-plans once a row count or NDV drifts by the runtime's
+#: ``STATS_DRIFT_FACTOR`` (the key also holds ``batch_size``), rather
+#: than serving a stale executor choice.
 _MIN_BATCH_GROUPS = 2
 
 

@@ -212,7 +212,8 @@ class TestStatsSchema:
     #: Version-3 sections and the keys each must carry (version 2 = the
     #: version-1 document plus the write path's ``transactions``;
     #: version 3 keeps the same sections and adds the grouped-
-    #: aggregation counters under ``runtime.counters``).
+    #: aggregation counters under ``runtime.counters``). Version 4 is a
+    #: superset: ``plan_cache`` gains ``replans``.
     SCHEMA_V3 = {
         "statement_cache": {"hits", "misses", "evictions", "size",
                             "capacity"},
@@ -225,11 +226,13 @@ class TestStatsSchema:
         "transactions": {"active", "begun", "committed", "rolled_back",
                          "autocommits", "statements", "rows_written"},
     }
+    SCHEMA_V4 = {**SCHEMA_V3,
+                 "plan_cache": SCHEMA_V3["plan_cache"] | {"replans"}}
 
     def test_version_key_present(self):
         snapshot = connect(build_runtime()).stats()
         assert snapshot["stats_schema_version"] == \
-            repro.STATS_SCHEMA_VERSION == 3
+            repro.STATS_SCHEMA_VERSION == 4
 
     def test_v3_sections_and_keys(self):
         connection = connect(build_runtime())
@@ -243,6 +246,18 @@ class TestStatsSchema:
             assert section in snapshot, section
             missing = keys - set(snapshot[section])
             assert not missing, f"{section} lost keys {sorted(missing)}"
+
+    def test_v4_plan_cache_replans(self):
+        connection = connect(build_runtime())
+        cursor = connection.cursor()
+        cursor.execute("SELECT CUSTOMERID FROM CUSTOMERS")
+        cursor.fetchall()
+        snapshot = connection.stats()
+        for section, keys in self.SCHEMA_V4.items():
+            missing = keys - set(snapshot[section])
+            assert not missing, f"{section} lost keys {sorted(missing)}"
+        assert snapshot["plan_cache"]["replans"] == 0
+        assert snapshot["runtime"]["counters"]["plan_cache.replans"] == 0
 
     def test_v3_aggregation_counters_present(self):
         connection = connect(build_runtime())
@@ -277,9 +292,9 @@ class TestStatsSchema:
                 handle.dsn("app", "TestDataServices", token="t"))
             try:
                 snapshot = connection.stats()
-                assert snapshot["stats_schema_version"] == 3
-                for section in self.SCHEMA_V3:
-                    assert section in snapshot, section
+                assert snapshot["stats_schema_version"] == 4
+                for section, keys in self.SCHEMA_V4.items():
+                    assert not keys - set(snapshot[section]), section
                 # plus the server-only and client-only sections
                 assert "server" in snapshot
                 assert "client" in snapshot

@@ -59,10 +59,6 @@ class FakeSource(DataSource):
 class FakeRuntime:
     def __init__(self):
         self.write_lock = threading.RLock()
-        self.write_notes = 0
-
-    def note_write(self):
-        self.write_notes += 1
 
 
 def plan_for(source, version=0):
@@ -108,7 +104,6 @@ class TestAutocommit:
         result = manager.run(lambda: plan_for(source, version=41))
         assert result.rowcount == 2
         assert source.calls == [("apply", 41)]
-        assert runtime.write_notes == 1
         stats = manager.stats()
         assert stats["autocommits"] == 1
         assert stats["statements"] == 1
@@ -141,10 +136,8 @@ class TestExplicitTransaction:
         manager.run(lambda: plan_for(source))
         manager.run(lambda: plan_for(source))
         assert source.calls.count(("begin_txn",)) == 1
-        assert runtime.write_notes == 0  # nothing visible-to-others yet
         manager.commit()
         assert source.calls[-1] == ("commit_txn",)
-        assert runtime.write_notes == 1
         assert not manager.in_transaction
 
     def test_enlistment_in_first_write_order(self, rig):
@@ -166,13 +159,13 @@ class TestExplicitTransaction:
         manager.run(lambda: plan_for(source))
         manager.rollback()
         assert source.calls[-1] == ("rollback_txn",)
-        assert runtime.write_notes == 1
+        assert manager.stats()["rolled_back"] == 1
 
-    def test_empty_transaction_skips_note_write(self, rig):
-        runtime, _source, manager = rig
+    def test_empty_transaction_touches_no_source(self, rig):
+        _runtime, source, manager = rig
         manager.begin()
         manager.commit()
-        assert runtime.write_notes == 0
+        assert source.calls == []
         assert manager.stats()["committed"] == 1
 
     def test_lock_held_across_statements_released_on_commit(self, rig):

@@ -174,3 +174,84 @@ class TestGetOrLoad:
             thread.join()
         assert results == {i: i * 10 for i in range(8)}
         assert cache.stats()["misses"] == 8
+
+
+class TestRevalidation:
+    def test_valid_entry_is_a_hit(self):
+        cache = LRUCache(4, stale_label="stale")
+        cache.get_or_load("k", lambda: "v1")
+        checked = []
+
+        def valid(value):
+            checked.append(value)
+            return True
+
+        assert cache.get_or_load("k", lambda: "v2", valid=valid) == "v1"
+        assert checked == ["v1"]
+        assert cache.stats() == {"hits": 1, "misses": 1, "evictions": 0,
+                                 "size": 1, "capacity": 4, "stale": 0}
+
+    def test_stale_entry_reloads_as_a_miss(self):
+        registry = MetricsRegistry()
+        cache = LRUCache(4, registry=registry, prefix="test.cache",
+                         stale_label="replans")
+        cache.get_or_load("k", lambda: "v1")
+        assert cache.get_or_load("k", lambda: "v2",
+                                 valid=lambda value: False) == "v2"
+        assert cache.copy() == {"k": "v2"}
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"], stats["replans"]) == (0, 2, 1)
+        counters = registry.snapshot()["counters"]
+        assert counters["test.cache.replans"] == 1
+        assert counters["test.cache.misses"] == 2
+
+    def test_freshly_loaded_value_is_not_revalidated(self):
+        cache = LRUCache(4)
+        calls = []
+        value = cache.get_or_load("k", lambda: "v",
+                                  valid=lambda v: calls.append(v) or True)
+        assert value == "v"
+        assert calls == []
+
+    def test_without_label_stats_shape_is_unchanged(self):
+        cache = LRUCache(4)
+        cache.get_or_load("k", lambda: 1)
+        cache.get_or_load("k", lambda: 2, valid=lambda value: False)
+        assert cache.stats() == {"hits": 0, "misses": 2, "evictions": 0,
+                                 "size": 1, "capacity": 4}
+
+    def test_concurrent_stale_hits_reload_once(self):
+        cache = LRUCache(4, stale_label="stale")
+        cache.get_or_load("k", lambda: "old")
+        release = threading.Event()
+        barrier = threading.Barrier(8)
+        load_count = [0]
+        results = []
+
+        def slow_loader():
+            load_count[0] += 1
+            release.wait(timeout=5)
+            return "new"
+
+        def work():
+            barrier.wait()
+            results.append(cache.get_or_load(
+                "k", slow_loader, valid=lambda value: value != "old"))
+
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        # Let every thread reach the stale entry or the flight first.
+        for _ in range(200):
+            if load_count[0]:
+                break
+            threading.Event().wait(0.005)
+        release.set()
+        for thread in threads:
+            thread.join()
+        assert results == ["new"] * 8
+        assert load_count[0] == 1
+        stats = cache.stats()
+        assert stats["stale"] == 1
+        assert stats["misses"] == 2  # the first load and the reload
+        assert stats["hits"] == 7

@@ -120,7 +120,7 @@ class TestRemoteDriver:
             cursor.execute("SELECT CUSTOMERID FROM CUSTOMERS")
             cursor.fetchall()
             snapshot = connection.stats()
-            assert snapshot["stats_schema_version"] == 3
+            assert snapshot["stats_schema_version"] == 4
             assert snapshot["server"]["counters"]["executes"] >= 1
             assert snapshot["server"]["tenant"]["name"] == "app"
             assert snapshot["client"]["counters"]["wire.roundtrips"] > 0

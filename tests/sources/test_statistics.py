@@ -4,8 +4,8 @@
 checked for exact small-table numbers, bounded sampling with scaling,
 and the ndv=0 "unknown" convention; ``SQLiteSource.statistics`` must
 agree with the Python computation on the same data; and the runtime's
-``statistics_for`` cache must honor the source's version token,
-including the plan-cache epoch bump on a data change.
+``statistics_for`` cache must honor the source's version token:
+recompute exactly when the token moves, never in between.
 """
 
 import datetime
@@ -156,22 +156,34 @@ class TestRuntimeStatisticsCache:
         assert first is not None and first.row_count == 4
         assert runtime.statistics_for(uri, "T") is first
 
-    def test_version_change_recomputes_and_bumps_epoch(self):
+    def test_version_change_recomputes(self):
         runtime, storage, uri = self.make_runtime()
-        runtime.statistics_for(uri, "T")
-        epoch = runtime._stats_epoch
+        first = runtime.statistics_for(uri, "T")
         storage.table("T").insert(9, "z", None)
         fresh = runtime.statistics_for(uri, "T")
+        assert fresh is not first
         assert fresh.row_count == 5
-        assert runtime._stats_epoch == epoch + 1
+        assert runtime.statistics_for(uri, "T") is fresh
 
-    def test_first_computation_does_not_bump_epoch(self):
-        """The compile that triggers the first computation consumes it,
-        so bumping would only split the plan cache."""
-        runtime, _storage, uri = self.make_runtime()
-        epoch = runtime._stats_epoch
-        runtime.statistics_for(uri, "T")
-        assert runtime._stats_epoch == epoch
+    def test_recomputes_only_on_token_change(self, monkeypatch):
+        """Cached plans re-read their basis through ``statistics_for``
+        on every hit, so an unchanged token must never recompute."""
+        runtime, storage, uri = self.make_runtime()
+        calls = []
+        original = TableSource.statistics
+
+        def counting(self, table):
+            calls.append(table)
+            return original(self, table)
+
+        monkeypatch.setattr(TableSource, "statistics", counting)
+        for _ in range(3):
+            runtime.statistics_for(uri, "T")
+        assert calls == ["T"]
+        storage.table("T").insert(9, "z", None)
+        for _ in range(3):
+            runtime.statistics_for(uri, "T")
+        assert calls == ["T", "T"]
 
     def test_unknown_function_is_none(self):
         runtime, _storage, _uri = self.make_runtime()

@@ -1,15 +1,40 @@
 """Tests for the top-level package facade (repro/__init__.py)."""
 
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
 import repro
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 class TestFacade:
     def test_version(self):
         assert repro.__version__ == "2.0.0"
+
+    def test_packaging_reads_the_facade_version(self):
+        """``repro.__version__`` is the one version source: neither
+        pyproject.toml nor setup.py may state a version of its own."""
+        pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        assert re.search(r'^dynamic = \["version"\]$', pyproject, re.M)
+        assert re.search(r'^version = \{attr = "repro.__version__"\}$',
+                         pyproject, re.M)
+        assert not re.search(r'^version = "', pyproject, re.M)
+        setup_py = (ROOT / "setup.py").read_text(encoding="utf-8")
+        assert "version=" not in setup_py
+
+    def test_setuptools_resolves_the_facade_version(self):
+        pyprojecttoml = pytest.importorskip(
+            "setuptools.config.pyprojecttoml")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            config = pyprojecttoml.read_configuration(
+                str(ROOT / "pyproject.toml"), expand=True,
+                ignore_option_errors=False)
+        assert config["project"]["version"] == repro.__version__
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
@@ -38,7 +63,7 @@ class TestFacade:
         assert remote.remote and remote.address == ("db.example", 7777)
 
     def test_stats_schema_version_exported(self):
-        assert repro.STATS_SCHEMA_VERSION == 3
+        assert repro.STATS_SCHEMA_VERSION == 4
 
     def test_pep249_globals(self):
         assert repro.apilevel == "2.0"
